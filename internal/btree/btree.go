@@ -14,7 +14,9 @@
 // each charges its own meter. The tree's live directory state (meta table,
 // root, height) is not internally synchronized — mutations are serialized
 // by the engine's update locks, and snapshot readers traverse an immutable
-// published directory copy at their stamp instead (docs/MVCC.md).
+// published directory copy at their stamp instead (docs/MVCC.md). The meta
+// table is a copy-on-write storage.ChunkTable, so publishing a copy shares
+// every chunk the update did not touch.
 package btree
 
 import (
@@ -42,12 +44,13 @@ type Tree struct {
 	noRootPin bool
 }
 
-// treeDir is the tree's in-memory directory: the node meta table and the
-// shape counters. The live copy is mutated in place by updates; published
-// copies are immutable and traversed by snapshot readers.
+// treeDir is the tree's in-memory directory: the node meta table, indexed
+// by page id, and the shape counters. The live copy is mutated in place by
+// updates (meta through nodeW); published copies are immutable and
+// traversed by snapshot readers.
 type treeDir struct {
 	root      storage.PageID
-	meta      map[storage.PageID]*nodeMeta
+	meta      storage.ChunkTable[nodeMeta]
 	height    int // levels including the leaf level; 1 = root is a leaf
 	n         int
 	numLeaves int
@@ -89,28 +92,28 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, keyOf KeyFunc) *Tree {
 		fanout:  fanout,
 		stride:  indexEntrySize,
 		keyOf:   keyOf,
-		dir:     treeDir{meta: make(map[storage.PageID]*nodeMeta), height: 1},
+		dir:     treeDir{height: 1, numLeaves: 1},
 	}
-	t.dir.root = t.newNode(true)
-	t.dir.numLeaves = 1
-	t.dv = disk.RegisterDir(t.snapshotDir)
+	t.dir.root = disk.Alloc()
+	*t.dir.meta.Mut(int(t.dir.root), 0) = nodeMeta{leaf: true, next: storage.NilPage, prev: storage.NilPage}
+	t.dv = disk.RegisterDir(t.freezeDir)
 	return t
 }
 
-// snapshotDir returns an immutable deep copy of the live directory.
-func (t *Tree) snapshotDir() any {
-	d := &treeDir{
-		root:      t.dir.root,
-		meta:      make(map[storage.PageID]*nodeMeta, len(t.dir.meta)),
-		height:    t.dir.height,
-		n:         t.dir.n,
-		numLeaves: t.dir.numLeaves,
-	}
-	for id, m := range t.dir.meta {
-		cp := *m
-		d.meta[id] = &cp
-	}
-	return d
+// freezeDir returns the live directory as a published copy sharing every
+// meta chunk.
+func (t *Tree) freezeDir() any {
+	d := t.dir
+	return &d
+}
+
+// node returns the meta of node id in directory d.
+func (d *treeDir) node(id storage.PageID) nodeMeta { return d.meta.Get(int(id)) }
+
+// nodeW returns the live meta of node id for mutation, copying its chunk
+// first when a published directory shares it.
+func (t *Tree) nodeW(id storage.PageID) *nodeMeta {
+	return t.dir.meta.Mut(int(id), t.dv.Gen())
 }
 
 // dirFor resolves the directory a reader should traverse: the newest
@@ -141,7 +144,7 @@ func (t *Tree) Fanout() int { return t.fanout }
 
 func (t *Tree) newNode(leaf bool) storage.PageID {
 	id := t.disk.Alloc()
-	t.dir.meta[id] = &nodeMeta{leaf: leaf, next: storage.NilPage, prev: storage.NilPage}
+	*t.nodeW(id) = nodeMeta{leaf: leaf, next: storage.NilPage, prev: storage.NilPage}
 	return id
 }
 
@@ -255,7 +258,7 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 		buf := t.writeNode(pg, newRoot)
 		t.setEntry(buf, 0, 0, oldRoot) // leftmost separator is an open bound
 		t.setEntry(buf, 1, sep, newID)
-		t.dir.meta[newRoot].count = 2
+		t.nodeW(newRoot).count = 2
 	}
 	t.dir.n++
 }
@@ -263,9 +266,9 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 // insertAt inserts into the subtree rooted at id, returning a new right
 // sibling and its separator key if the node split.
 func (t *Tree) insertAt(pg *storage.Pager, id storage.PageID, key uint64, rec []byte) (storage.PageID, uint64, bool) {
-	m := t.dir.meta[id]
+	m := t.dir.node(id)
 	if m.leaf {
-		return t.insertLeaf(pg, id, m, key, rec)
+		return t.insertLeaf(pg, id, key, rec)
 	}
 	buf := t.readNode(pg, &t.dir, id)
 	ci := t.childIndex(buf, m.count, key)
@@ -274,10 +277,11 @@ func (t *Tree) insertAt(pg *storage.Pager, id storage.PageID, key uint64, rec []
 	if !split {
 		return storage.NilPage, 0, false
 	}
-	return t.insertEntry(pg, id, m, ci+1, sep, newChild)
+	return t.insertEntry(pg, id, ci+1, sep, newChild)
 }
 
-func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key uint64, rec []byte) (storage.PageID, uint64, bool) {
+func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, key uint64, rec []byte) (storage.PageID, uint64, bool) {
+	m := t.nodeW(id)
 	buf := t.writeNode(pg, id)
 	slot, found := t.leafSlot(buf, m.count, key)
 	if found {
@@ -292,7 +296,7 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 	// Split: upper half moves to a new right sibling.
 	rightID := t.newNode(true)
 	t.dir.numLeaves++
-	rm := t.dir.meta[rightID]
+	rm := t.nodeW(rightID)
 	half := m.count / 2
 	rbuf := pg.Overwrite(rightID)
 	copy(rbuf, buf[half*t.recSize:m.count*t.recSize])
@@ -302,7 +306,7 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 	// Fix the leaf chain.
 	rm.next, rm.prev = m.next, id
 	if m.next != storage.NilPage {
-		t.dir.meta[m.next].prev = rightID
+		t.nodeW(m.next).prev = rightID
 	}
 	m.next = rightID
 	// Insert into the proper side.
@@ -322,7 +326,8 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 
 // insertEntry inserts (sep, child) at position pos of internal node id,
 // splitting it if full.
-func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, pos int, sep uint64, child storage.PageID) (storage.PageID, uint64, bool) {
+func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, pos int, sep uint64, child storage.PageID) (storage.PageID, uint64, bool) {
+	m := t.nodeW(id)
 	buf := t.writeNode(pg, id)
 	if m.count < t.fanout {
 		copy(buf[(pos+1)*t.stride:(m.count+1)*t.stride], buf[pos*t.stride:m.count*t.stride])
@@ -331,7 +336,7 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, po
 		return storage.NilPage, 0, false
 	}
 	rightID := t.newNode(false)
-	rm := t.dir.meta[rightID]
+	rm := t.nodeW(rightID)
 	half := m.count / 2
 	rbuf := pg.Overwrite(rightID)
 	copy(rbuf, buf[half*t.stride:m.count*t.stride])
@@ -356,11 +361,12 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, po
 func (t *Tree) Get(pg *storage.Pager, key uint64) ([]byte, bool) {
 	d := t.dirFor(pg)
 	id := d.root
-	for !d.meta[id].leaf {
+	m := d.node(id)
+	for !m.leaf {
 		buf := t.readNode(pg, d, id)
-		id = t.entryChild(buf, t.childIndex(buf, d.meta[id].count, key))
+		id = t.entryChild(buf, t.childIndex(buf, m.count, key))
+		m = d.node(id)
 	}
-	m := d.meta[id]
 	buf := t.readNode(pg, d, id)
 	slot, found := t.leafSlot(buf, m.count, key)
 	if !found {
@@ -383,18 +389,18 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 	}
 	var path []step
 	id := t.dir.root
-	for !t.dir.meta[id].leaf {
+	for n := t.dir.node(id); !n.leaf; n = t.dir.node(id) {
 		buf := t.readNode(pg, &t.dir, id)
-		ci := t.childIndex(buf, t.dir.meta[id].count, key)
+		ci := t.childIndex(buf, n.count, key)
 		path = append(path, step{id, ci})
 		id = t.entryChild(buf, ci)
 	}
-	m := t.dir.meta[id]
 	buf := t.writeNode(pg, id)
-	slot, found := t.leafSlot(buf, m.count, key)
+	slot, found := t.leafSlot(buf, t.dir.node(id).count, key)
 	if !found {
 		return false
 	}
+	m := t.nodeW(id)
 	copy(buf[slot*t.recSize:], buf[(slot+1)*t.recSize:m.count*t.recSize])
 	clear(buf[(m.count-1)*t.recSize : m.count*t.recSize])
 	m.count--
@@ -404,17 +410,17 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 	for m.count == 0 && id != t.dir.root {
 		if m.leaf {
 			if m.prev != storage.NilPage {
-				t.dir.meta[m.prev].next = m.next
+				t.nodeW(m.prev).next = m.next
 			}
 			if m.next != storage.NilPage {
-				t.dir.meta[m.next].prev = m.prev
+				t.nodeW(m.next).prev = m.prev
 			}
 			t.dir.numLeaves--
 		}
 		t.freeNode(pg, id)
 		parent := path[len(path)-1]
 		path = path[:len(path)-1]
-		pm := t.dir.meta[parent.id]
+		pm := t.nodeW(parent.id)
 		pbuf := t.writeNode(pg, parent.id)
 		copy(pbuf[parent.ci*t.stride:], pbuf[(parent.ci+1)*t.stride:pm.count*t.stride])
 		clear(pbuf[(pm.count-1)*t.stride : pm.count*t.stride])
@@ -429,7 +435,7 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 		t.freeNode(pg, id)
 		t.dir.root = child
 		t.dir.height--
-		id, m = child, t.dir.meta[child]
+		id, m = child, t.nodeW(child)
 	}
 	if m.count == 0 && m.leaf && id == t.dir.root {
 		// Tree is empty; keep the root leaf.
@@ -439,7 +445,7 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 }
 
 func (t *Tree) freeNode(pg *storage.Pager, id storage.PageID) {
-	delete(t.dir.meta, id)
+	*t.nodeW(id) = nodeMeta{}
 	pg.Drop(id)
 	pg.FreePage(id)
 }
@@ -454,12 +460,12 @@ func (t *Tree) ScanRange(pg *storage.Pager, lo, hi uint64, fn func(rec []byte) b
 		return
 	}
 	id := d.root
-	for !d.meta[id].leaf {
+	for m := d.node(id); !m.leaf; m = d.node(id) {
 		buf := t.readNode(pg, d, id)
-		id = t.entryChild(buf, t.childIndex(buf, d.meta[id].count, lo))
+		id = t.entryChild(buf, t.childIndex(buf, m.count, lo))
 	}
 	for id != storage.NilPage {
-		m := d.meta[id]
+		m := d.node(id)
 		buf := t.readNode(pg, d, id)
 		start, _ := t.leafSlot(buf, m.count, lo)
 		for i := start; i < m.count; i++ {

@@ -50,7 +50,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 			id = t.newNode(true)
 			t.dir.numLeaves++
 		}
-		m := t.dir.meta[id]
+		m := t.nodeW(id)
 		buf := pg.Overwrite(id)
 		for i := start; i < end; i++ {
 			copy(buf[(i-start)*t.recSize:], records[i])
@@ -58,7 +58,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 		m.count = end - start
 		m.prev = prevLeaf
 		if prevLeaf != storage.NilPage {
-			t.dir.meta[prevLeaf].next = id
+			t.nodeW(prevLeaf).next = id
 		}
 		prevLeaf = id
 		level = append(level, nodeRef{id, keyOf(records[start])})
@@ -74,7 +74,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 				end = len(level)
 			}
 			id := t.newNode(false)
-			m := t.dir.meta[id]
+			m := t.nodeW(id)
 			buf := pg.Overwrite(id)
 			for i := start; i < end; i++ {
 				t.setEntry(buf, i-start, level[i].min, level[i].id)

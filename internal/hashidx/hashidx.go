@@ -11,11 +11,14 @@
 // each charges its own meter. The live bucket directory is not internally
 // synchronized — mutations are serialized by the engine's update locks,
 // and snapshot readers probe an immutable published directory copy at
-// their stamp instead (docs/MVCC.md).
+// their stamp instead (docs/MVCC.md). The bucket table is a copy-on-write
+// storage.ChunkTable, so publishing a copy shares every chunk the update
+// did not touch.
 package hashidx
 
 import (
 	"fmt"
+	"slices"
 
 	"dbproc/internal/storage"
 )
@@ -34,13 +37,17 @@ type Table struct {
 }
 
 // hashDir is the table's in-memory directory: the bucket chains and the
-// record count. The live copy is mutated in place; published copies are
-// immutable.
+// record count. The live copy is mutated in place (buckets through
+// bucketW); published copies are immutable.
 type hashDir struct {
-	buckets []bucket
-	n       int
+	buckets    storage.ChunkTable[bucket]
+	numBuckets int
+	n          int
 }
 
+// bucket is one bucket's chain. A chunk copy shares pages with the
+// published chunk, so pages is never written in place: every change
+// assigns a fresh or capacity-clipped slice.
 type bucket struct {
 	pages []storage.PageID
 	count int // records in this bucket across its chain
@@ -63,20 +70,17 @@ func New(disk *storage.Disk, recSize, numBuckets int, keyOf KeyFunc) *Table {
 		recSize: recSize,
 		perPage: perPage,
 		keyOf:   keyOf,
-		dir:     hashDir{buckets: make([]bucket, numBuckets)},
+		dir:     hashDir{numBuckets: numBuckets},
 	}
-	t.dv = disk.RegisterDir(t.snapshotDir)
+	t.dv = disk.RegisterDir(t.freezeDir)
 	return t
 }
 
-// snapshotDir returns an immutable deep copy of the live directory.
-func (t *Table) snapshotDir() any {
-	d := &hashDir{buckets: make([]bucket, len(t.dir.buckets)), n: t.dir.n}
-	for i := range t.dir.buckets {
-		b := &t.dir.buckets[i]
-		d.buckets[i] = bucket{pages: append([]storage.PageID(nil), b.pages...), count: b.count}
-	}
-	return d
+// freezeDir returns the live directory as a published copy sharing every
+// bucket chunk.
+func (t *Table) freezeDir() any {
+	d := t.dir
+	return &d
 }
 
 // dirFor resolves the directory a reader should probe: the newest
@@ -94,13 +98,13 @@ func (t *Table) dirFor(pg *storage.Pager) *hashDir {
 func (t *Table) Len() int { return t.dir.n }
 
 // NumBuckets returns the number of primary buckets.
-func (t *Table) NumBuckets() int { return len(t.dir.buckets) }
+func (t *Table) NumBuckets() int { return t.dir.numBuckets }
 
 // Pages returns the number of allocated bucket and overflow pages.
 func (t *Table) Pages() int {
 	total := 0
-	for i := range t.dir.buckets {
-		total += len(t.dir.buckets[i].pages)
+	for i := range t.dir.numBuckets {
+		total += len(t.dir.buckets.Get(i).pages)
 	}
 	return total
 }
@@ -108,8 +112,15 @@ func (t *Table) Pages() int {
 // PerPage returns the blocking factor.
 func (t *Table) PerPage() int { return t.perPage }
 
-func (d *hashDir) bucketFor(key uint64) *bucket {
-	return &d.buckets[key%uint64(len(d.buckets))]
+// bucketOf returns the number of key's bucket.
+func (d *hashDir) bucketOf(key uint64) int {
+	return int(key % uint64(d.numBuckets))
+}
+
+// bucketW returns live bucket i for mutation, copying its chunk first when
+// a published directory shares it.
+func (t *Table) bucketW(i int) *bucket {
+	return t.dir.buckets.Mut(i, t.dv.Gen())
 }
 
 // Insert stores a record in its key's bucket, allocating an overflow page
@@ -119,12 +130,12 @@ func (t *Table) Insert(pg *storage.Pager, rec []byte) {
 		panic(fmt.Sprintf("hashidx: record of %d bytes, want %d", len(rec), t.recSize))
 	}
 	t.dv.MarkDirty()
-	b := t.dir.bucketFor(t.keyOf(rec))
+	b := t.bucketW(t.dir.bucketOf(t.keyOf(rec)))
 	slot := b.count % t.perPage
 	var buf []byte
 	if slot == 0 && b.count == len(b.pages)*t.perPage {
 		id := t.disk.Alloc()
-		b.pages = append(b.pages, id)
+		b.pages = append(slices.Clip(b.pages), id)
 		buf = pg.Overwrite(id)
 	} else {
 		buf = pg.Update(b.pages[b.count/t.perPage])
@@ -152,7 +163,8 @@ func (t *Table) Lookup(pg *storage.Pager, key uint64) ([]byte, bool) {
 // predicate screen; callers charge C1 for the predicates they evaluate on
 // the results.
 func (t *Table) LookupEach(pg *storage.Pager, key uint64, fn func(rec []byte) bool) {
-	b := t.dirFor(pg).bucketFor(key)
+	d := t.dirFor(pg)
+	b := d.buckets.Get(d.bucketOf(key))
 	remaining := b.count
 	for _, id := range b.pages {
 		if remaining <= 0 {
@@ -199,7 +211,8 @@ func (t *Table) DeleteExact(pg *storage.Pager, rec []byte) bool {
 
 func (t *Table) deleteWhere(pg *storage.Pager, key uint64, match func([]byte) bool) bool {
 	t.dv.MarkDirty()
-	b := t.dir.bucketFor(key)
+	bi := t.dir.bucketOf(key)
+	b := t.dir.buckets.Get(bi)
 	// Find the record's position in the chain.
 	pos := -1
 	remaining := b.count
@@ -238,11 +251,12 @@ scan:
 	}
 	lb := pg.Update(b.pages[last/t.perPage])
 	clear(lb[(last%t.perPage)*t.recSize : (last%t.perPage+1)*t.recSize])
-	b.count--
+	bw := t.bucketW(bi)
+	bw.count--
 	t.dir.n--
-	if b.count%t.perPage == 0 && len(b.pages) > 0 && b.count == (len(b.pages)-1)*t.perPage {
-		id := b.pages[len(b.pages)-1]
-		b.pages = b.pages[:len(b.pages)-1]
+	if bw.count%t.perPage == 0 && len(bw.pages) > 0 && bw.count == (len(bw.pages)-1)*t.perPage {
+		id := bw.pages[len(bw.pages)-1]
+		bw.pages = slices.Clip(bw.pages[:len(bw.pages)-1])
 		pg.Drop(id)
 		pg.FreePage(id)
 	}
@@ -253,8 +267,8 @@ scan:
 // during the call.
 func (t *Table) ScanAll(pg *storage.Pager, fn func(rec []byte) bool) {
 	d := t.dirFor(pg)
-	for i := range d.buckets {
-		b := &d.buckets[i]
+	for i := range d.numBuckets {
+		b := d.buckets.Get(i)
 		remaining := b.count
 		for _, id := range b.pages {
 			if remaining <= 0 {

@@ -23,18 +23,23 @@
 //     (B-tree meta table and root, hash bucket table, ordered-file page
 //     list) are mutated in place by updates; readers cannot walk a live
 //     directory that is being rewritten. Each structure registers a
-//     DirVersions handle with its snapshot function; epoch mutations mark
-//     the handle dirty, and Publish deep-copies dirty directories as new
-//     immutable heads. Snapshot readers resolve the directory the same way
-//     they resolve pages: newest published copy with stamp <= S, falling
-//     back to the live directory when the structure is unversioned (cache
-//     entry files mutated at query time under their entry mutex) or MVCC
-//     is off.
+//     DirVersions handle with a freeze function; epoch mutations mark the
+//     handle dirty, and Publish freezes dirty directories as new immutable
+//     heads. Directories are copy-on-write: a frozen copy shares every part
+//     of the live one, each part carries the generation that owns it, and
+//     a mutation copies a part the first time it touches it after a
+//     freeze (ChunkTable, the ordered file's pages). Snapshot readers
+//     resolve the directory the same way they resolve pages: newest
+//     published copy with stamp <= S, falling back to the live directory
+//     when the structure is unversioned (cache entry files mutated at
+//     query time under their entry mutex) or MVCC is off.
 //
 // Pages freed inside an epoch are deferred: they rejoin the allocator only
 // once the garbage-collection horizon (the oldest registered snapshot)
 // passes the freeing update's stamp, since older directory snapshots may
-// still name them. GCVersions also prunes chain tails below the horizon.
+// still name them. Publish puts every chain and directory it extends on a
+// GC work list, and GCVersions prunes only the listed ones, so a commit
+// and its GC cost what the epoch wrote, not the size of the database.
 package storage
 
 import (
@@ -43,26 +48,43 @@ import (
 	"sync/atomic"
 )
 
-// pageVer is one published version of a page's contents.
-type pageVer struct {
+// version is one published, immutable version of a page's contents or of
+// a directory, linked to the next older one.
+type version[T any] struct {
 	stamp uint64
-	data  []byte
-	prev  atomic.Pointer[pageVer]
+	val   T
+	prev  atomic.Pointer[version[T]]
+}
+
+// visible returns the newest version in the chain starting at v with
+// stamp <= snap, or nil.
+func visible[T any](v *version[T], snap uint64) *version[T] {
+	for ; v != nil; v = v.prev.Load() {
+		if v.stamp <= snap {
+			return v
+		}
+	}
+	return nil
+}
+
+// pruneBelow cuts the chain after the newest version at or below horizon:
+// no registered snapshot can reach anything older.
+func pruneBelow[T any](v *version[T], horizon uint64) {
+	if v = visible(v, horizon); v != nil && v.prev.Load() != nil {
+		v.prev.Store(nil)
+	}
 }
 
 // pageChain is the per-page version list plus the epoch writer's private
 // pending buffer. Only the (single) epoch writer touches pending; readers
 // only load head and walk prev pointers.
 type pageChain struct {
-	head    atomic.Pointer[pageVer]
+	id      PageID
+	head    atomic.Pointer[version[[]byte]]
 	pending []byte
-}
-
-// dirVer is one published immutable copy of a structure's directory.
-type dirVer struct {
-	stamp uint64
-	dir   any
-	prev  atomic.Pointer[dirVer]
+	// listed marks the chain as on the GC work list (guarded by
+	// mvccState.mu), so Publish lists it at most once.
+	listed bool
 }
 
 // DirVersions is the version handle one in-memory directory registers with
@@ -70,9 +92,13 @@ type dirVer struct {
 type DirVersions struct {
 	disk      *Disk
 	versioned bool
-	snap      func() any
-	head      atomic.Pointer[dirVer]
-	dirty     bool
+	freeze    func() any
+	head      atomic.Pointer[version[any]]
+	// gen is the generation the live directory owns; every publish
+	// advances it. Only the directory's writer reads or advances it.
+	gen    uint64
+	dirty  bool
+	listed bool // on the GC work list; guarded by mvccState.mu
 }
 
 // deferredFree is a batch of pages freed by the update that committed at
@@ -84,8 +110,8 @@ type deferredFree struct {
 
 // mvccState hangs off a Disk once EnableMVCC is called.
 type mvccState struct {
-	// mu guards the snapshot registry, the deferred-free list and the
-	// commit stamp's publication point.
+	// mu guards the snapshot registry, the deferred-free list, the GC work
+	// lists and the commit stamp's publication point.
 	mu          sync.Mutex
 	commitStamp atomic.Uint64
 	active      map[uint64]int
@@ -96,14 +122,22 @@ type mvccState struct {
 	chMu   sync.RWMutex
 	chains map[PageID]*pageChain
 
-	// Epoch-writer private state: pages written and freed this epoch, and
-	// directories dirtied this epoch. Only the session holding the update
-	// footprint touches these.
-	epochPages []PageID
-	epochFrees []PageID
-	dirtyDirs  []*DirVersions
+	// Epoch-writer private state: chains written and pages freed this
+	// epoch, and directories dirtied this epoch. Only the session holding
+	// the update footprint touches these.
+	epochChains []*pageChain
+	epochFrees  []PageID
+	dirtyDirs   []*DirVersions
 
 	deferred []deferredFree
+
+	// GC work lists: chains and directories with more than one version,
+	// or whose single version is newer than the horizon was at the last
+	// GC. gcMu serializes GCVersions calls; the spare slices are the
+	// previous pass's lists, reused to keep a pass allocation-free.
+	gcMu                  sync.Mutex
+	gcChains, spareChains []*pageChain
+	gcDirs, spareDirs     []*DirVersions
 }
 
 // EnableMVCC switches the disk into multi-version mode: every registered
@@ -178,51 +212,69 @@ func (d *Disk) BeginEpoch() {
 // dirty directories, deferred frees — with the update's commit sequence
 // number and makes it visible: after the commit stamp advances, snapshots
 // taken at or beyond stamp see the new versions, older snapshots keep the
-// old ones. Call under the engine's commit mutex, which assigns the stamp.
+// old ones. It costs O(pages and directory parts the epoch wrote). Call
+// under the engine's commit mutex, which assigns the stamp.
 func (d *Disk) Publish(stamp uint64) {
 	m := d.mvcc
 	if m == nil {
 		return
 	}
-	m.chMu.RLock()
-	for _, id := range m.epochPages {
-		c := m.chains[id]
-		v := &pageVer{stamp: stamp, data: c.pending}
+	for _, c := range m.epochChains {
+		v := &version[[]byte]{stamp: stamp, val: c.pending}
 		v.prev.Store(c.head.Load())
 		c.head.Store(v)
 		// Keep the live page in sync with the newest version so readers
 		// without a snapshot (and the next epoch's first read) see it.
-		d.WriteRaw(id, v.data)
+		d.WriteRaw(c.id, v.val)
 		c.pending = nil
 	}
-	m.chMu.RUnlock()
-	m.epochPages = m.epochPages[:0]
 	for _, dv := range m.dirtyDirs {
 		dv.publish(stamp)
 		dv.dirty = false
 	}
-	m.dirtyDirs = m.dirtyDirs[:0]
 	m.mu.Lock()
+	// Listing happens after the heads are linked: a concurrent GC pass
+	// that finds a listed chain's head unchanged may unlist it, and then
+	// this pass lists it again (see GCVersions).
+	for _, c := range m.epochChains {
+		if !c.listed {
+			c.listed = true
+			m.gcChains = append(m.gcChains, c)
+		}
+	}
+	for _, dv := range m.dirtyDirs {
+		if !dv.listed {
+			dv.listed = true
+			m.gcDirs = append(m.gcDirs, dv)
+		}
+	}
 	if len(m.epochFrees) > 0 {
 		m.deferred = append(m.deferred, deferredFree{stamp: stamp, ids: m.epochFrees})
 		m.epochFrees = nil
 	}
 	m.commitStamp.Store(stamp)
 	m.mu.Unlock()
+	m.epochChains = m.epochChains[:0]
+	m.dirtyDirs = m.dirtyDirs[:0]
 	m.epoch.Store(false)
 }
 
-// GCVersions prunes version chains and reclaims deferred frees below the
-// horizon — the oldest registered snapshot (or the commit stamp when no
-// reader is active). It returns the number of pages returned to the
-// allocator. Safe to call concurrently with readers and with an open
-// epoch; the engine wraps calls in the "mvcc:gc" lock so residual waits
-// are attributable (see procdoctor).
+// GCVersions prunes the listed version chains and directories and
+// reclaims deferred frees below the horizon — the oldest registered
+// snapshot (or the commit stamp when no reader is active). A chain or
+// directory leaves the work list once it holds a single version at or
+// below the horizon, so a pass costs O(versions published since the
+// horizon last passed them). It returns the number of pages returned to
+// the allocator. Safe to call concurrently with readers, with an open
+// epoch and with itself; the engine wraps calls in the "mvcc:gc" lock so
+// residual waits are attributable (see procdoctor).
 func (d *Disk) GCVersions() int {
 	m := d.mvcc
 	if m == nil {
 		return 0
 	}
+	m.gcMu.Lock()
+	defer m.gcMu.Unlock()
 	m.mu.Lock()
 	horizon := m.commitStamp.Load()
 	for s := range m.active {
@@ -240,25 +292,45 @@ func (d *Disk) GCVersions() int {
 		}
 	}
 	m.deferred = rest
+	chains, dirs := m.gcChains, m.gcDirs
+	m.gcChains, m.gcDirs = m.spareChains[:0], m.spareDirs[:0]
 	m.mu.Unlock()
 
-	m.chMu.Lock()
-	for _, id := range ready {
-		delete(m.chains, id)
+	if len(ready) > 0 {
+		m.chMu.Lock()
+		for _, id := range ready {
+			delete(m.chains, id)
+		}
+		m.chMu.Unlock()
 	}
-	m.chMu.Unlock()
-	m.chMu.RLock()
-	for _, c := range m.chains {
+	for _, c := range chains {
 		pruneBelow(c.head.Load(), horizon)
 	}
-	m.chMu.RUnlock()
-
-	d.mu.RLock()
-	dirs := append([]*DirVersions(nil), d.dirs...)
-	d.mu.RUnlock()
 	for _, dv := range dirs {
-		pruneDirBelow(dv.head.Load(), horizon)
+		pruneBelow(dv.head.Load(), horizon)
 	}
+
+	// Unlist what is down to one version at or below the horizon. The
+	// check reads the head under mu: a Publish that extended the chain
+	// since the prune either already ran (the new head is above the
+	// horizon, so the chain stays listed) or runs after and lists it anew.
+	m.mu.Lock()
+	for _, c := range chains {
+		if v := c.head.Load(); v.stamp <= horizon && v.prev.Load() == nil {
+			c.listed = false
+		} else {
+			m.gcChains = append(m.gcChains, c)
+		}
+	}
+	for _, dv := range dirs {
+		if v := dv.head.Load(); v == nil || v.stamp <= horizon && v.prev.Load() == nil {
+			dv.listed = false
+		} else {
+			m.gcDirs = append(m.gcDirs, dv)
+		}
+	}
+	m.mu.Unlock()
+	m.spareChains, m.spareDirs = chains, dirs
 
 	if len(ready) > 0 {
 		d.mu.Lock()
@@ -268,34 +340,15 @@ func (d *Disk) GCVersions() int {
 	return len(ready)
 }
 
-// pruneBelow cuts the chain after the newest version at or below horizon:
-// no registered snapshot can reach anything older.
-func pruneBelow(v *pageVer, horizon uint64) {
-	for v != nil {
-		if v.stamp <= horizon {
-			v.prev.Store(nil)
-			return
-		}
-		v = v.prev.Load()
-	}
-}
-
-func pruneDirBelow(v *dirVer, horizon uint64) {
-	for v != nil {
-		if v.stamp <= horizon {
-			v.prev.Store(nil)
-			return
-		}
-		v = v.prev.Load()
-	}
-}
-
 // RegisterDir registers an in-memory directory with the disk and returns
-// its version handle. snap must return an immutable deep copy of the live
-// directory. Structures register at construction; cache entry files that
-// are rewritten at query time call Unversion on the handle instead.
-func (d *Disk) RegisterDir(snap func() any) *DirVersions {
-	dv := &DirVersions{disk: d, versioned: true, snap: snap}
+// its version handle. freeze must return an immutable copy of the live
+// directory; it may share every part tagged with the handle's current Gen,
+// because publishing advances Gen and the live directory then copies a
+// part before mutating it. Structures register at construction; cache
+// entry files that are rewritten at query time call Unversion on the
+// handle instead.
+func (d *Disk) RegisterDir(freeze func() any) *DirVersions {
+	dv := &DirVersions{disk: d, versioned: true, freeze: freeze}
 	d.mu.Lock()
 	d.dirs = append(d.dirs, dv)
 	d.mu.Unlock()
@@ -316,6 +369,11 @@ func (dv *DirVersions) Unversion() {
 
 // Versioned reports whether the directory participates in snapshotting.
 func (dv *DirVersions) Versioned() bool { return dv.versioned }
+
+// Gen returns the generation the live directory owns. A directory part
+// tagged with an older generation may be shared with a published copy and
+// must be copied before it is mutated.
+func (dv *DirVersions) Gen() uint64 { return dv.gen }
 
 // MarkDirty records that the live directory was mutated inside the open
 // update epoch, scheduling a fresh copy at Publish. No-op outside an
@@ -340,19 +398,27 @@ func (dv *DirVersions) Lookup(snap uint64) any {
 	if dv == nil || !dv.versioned {
 		return nil
 	}
-	for v := dv.head.Load(); v != nil; v = v.prev.Load() {
-		if v.stamp <= snap {
-			return v.dir
-		}
+	if v := visible(dv.head.Load(), snap); v != nil {
+		return v.val
 	}
 	return nil
 }
 
-// publish links a fresh directory copy as the new head.
+// publish freezes the live directory as the new head and advances the
+// generation, so the next mutation copies what it touches.
 func (dv *DirVersions) publish(stamp uint64) {
-	v := &dirVer{stamp: stamp, dir: dv.snap()}
+	v := &version[any]{stamp: stamp, val: dv.freeze()}
+	dv.gen++
 	v.prev.Store(dv.head.Load())
 	dv.head.Store(v)
+}
+
+// chain returns the page's version chain, nil if no epoch has written it.
+func (m *mvccState) chain(id PageID) *pageChain {
+	m.chMu.RLock()
+	c := m.chains[id]
+	m.chMu.RUnlock()
+	return c
 }
 
 // readAt copies the newest version of the page with stamp <= snap into
@@ -360,18 +426,21 @@ func (dv *DirVersions) publish(stamp uint64) {
 // bytes are valid at every stamp.
 func (d *Disk) readAt(id PageID, dst []byte, snap uint64) {
 	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
+	c := m.chain(id)
 	if c == nil {
 		d.readInto(id, dst)
-		return
-	}
-	for v := c.head.Load(); v != nil; v = v.prev.Load() {
-		if v.stamp <= snap {
-			copy(dst, v.data)
+		// An epoch's first write to the page and its Publish can land
+		// between the lookup and the live read, leaving newer bytes in
+		// dst. The chain that write created is in the map before the
+		// live page changes, and its stamp-0 version holds the bytes
+		// every older snapshot must see.
+		if c = m.chain(id); c == nil {
 			return
 		}
+	}
+	if v := visible(c.head.Load(), snap); v != nil {
+		copy(dst, v.val)
+		return
 	}
 	panic(fmt.Sprintf("storage: page %d has no version visible at snapshot %d", id, snap))
 }
@@ -379,11 +448,7 @@ func (d *Disk) readAt(id PageID, dst []byte, snap uint64) {
 // readEpoch serves the epoch writer its own pending writes, falling back
 // to the live page (which equals the newest published version).
 func (d *Disk) readEpoch(id PageID, dst []byte) {
-	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
-	if c != nil && c.pending != nil {
+	if c := d.mvcc.chain(id); c != nil && c.pending != nil {
 		copy(dst, c.pending)
 		return
 	}
@@ -397,13 +462,11 @@ func (d *Disk) writeEpoch(id PageID, data []byte) {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize))
 	}
 	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
+	c := m.chain(id)
 	if c == nil {
-		base := &pageVer{stamp: 0, data: make([]byte, d.pageSize)}
-		d.readInto(id, base.data)
-		c = &pageChain{}
+		base := &version[[]byte]{stamp: 0, val: make([]byte, d.pageSize)}
+		d.readInto(id, base.val)
+		c = &pageChain{id: id}
 		c.head.Store(base)
 		m.chMu.Lock()
 		m.chains[id] = c
@@ -411,7 +474,7 @@ func (d *Disk) writeEpoch(id PageID, data []byte) {
 	}
 	if c.pending == nil {
 		c.pending = make([]byte, d.pageSize)
-		m.epochPages = append(m.epochPages, id)
+		m.epochChains = append(m.epochChains, c)
 	} else {
 		clear(c.pending)
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,7 +24,10 @@ import (
 // live directory state is not internally synchronized — mutations are
 // serialized against each other by the engine's update locks (or the
 // cache layer's entry mutexes), and snapshot readers resolve an immutable
-// published directory copy instead (docs/MVCC.md).
+// published directory copy instead (docs/MVCC.md). The directory is
+// copy-on-write: a published copy shares the page list and every ofPage,
+// and the live file copies the list and a page's keys the first time it
+// mutates them after a publish.
 type OrderedFile struct {
 	disk    *Disk
 	recSize int
@@ -33,15 +37,18 @@ type OrderedFile struct {
 }
 
 // ofDir is the file's directory: the page list and the record count. The
-// live copy is mutated in place; published copies are immutable.
+// live copy is mutated in place, copying shared parts first (pagesW,
+// pageW); published copies are immutable.
 type ofDir struct {
-	pages []*ofPage
-	n     int
+	pages    []*ofPage
+	pagesGen uint64 // generation that owns the pages slice
+	n        int
 }
 
 type ofPage struct {
 	id   PageID
 	keys []uint64 // sorted; len(keys) = records on this page
+	gen  uint64   // generation that owns this ofPage and its keys
 }
 
 // NewOrderedFile creates an empty ordered file with recSize-byte records.
@@ -51,7 +58,7 @@ func NewOrderedFile(disk *Disk, recSize int) *OrderedFile {
 		panic(fmt.Sprintf("storage: record size %d does not fit page size %d", recSize, disk.PageSize()))
 	}
 	f := &OrderedFile{disk: disk, recSize: recSize, perPage: perPage}
-	f.dv = disk.RegisterDir(f.snapshotDir)
+	f.dv = disk.RegisterDir(f.freezeDir)
 	return f
 }
 
@@ -60,13 +67,33 @@ func NewOrderedFile(disk *Disk, recSize int) *OrderedFile {
 // time under their entry mutex use this (docs/MVCC.md).
 func (f *OrderedFile) Unversion() { f.dv.Unversion() }
 
-// snapshotDir returns an immutable deep copy of the live directory.
-func (f *OrderedFile) snapshotDir() any {
-	d := &ofDir{pages: make([]*ofPage, len(f.dir.pages)), n: f.dir.n}
-	for i, p := range f.dir.pages {
-		d.pages[i] = &ofPage{id: p.id, keys: append([]uint64(nil), p.keys...)}
+// freezeDir returns the live directory as a published copy sharing the
+// page list and every page.
+func (f *OrderedFile) freezeDir() any {
+	d := f.dir
+	return &d
+}
+
+// pagesW returns the live page list for mutation, copying it first when a
+// published directory may share it.
+func (f *OrderedFile) pagesW() []*ofPage {
+	if gen := f.dv.Gen(); f.dir.pagesGen != gen {
+		f.dir.pages = slices.Clone(f.dir.pages)
+		f.dir.pagesGen = gen
 	}
-	return d
+	return f.dir.pages
+}
+
+// pageW returns page pi for mutation, copying it and its keys first when
+// a published directory may share them.
+func (f *OrderedFile) pageW(pi int) *ofPage {
+	pages := f.pagesW()
+	p := pages[pi]
+	if gen := f.dv.Gen(); p.gen != gen {
+		p = &ofPage{id: p.id, keys: slices.Clone(p.keys), gen: gen}
+		pages[pi] = p
+	}
+	return p
 }
 
 // dirFor resolves the directory a reader should walk: the newest published
@@ -116,7 +143,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 		id := f.disk.Alloc()
 		buf := pg.Overwrite(id)
 		copy(buf, rec)
-		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: []uint64{key}})
+		f.dir.pages = append(f.pagesW(), &ofPage{id: id, keys: []uint64{key}, gen: f.dv.Gen()})
 		f.dir.n = 1
 		return
 	}
@@ -133,6 +160,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 		p = f.dir.pages[pi]
 		slot = sort.Search(len(p.keys), func(i int) bool { return p.keys[i] >= key })
 	}
+	p = f.pageW(pi)
 	buf := pg.Update(p.id)
 	// Shift records [slot, len) up one slot within the page.
 	copy(buf[(slot+1)*f.recSize:(len(p.keys)+1)*f.recSize], buf[slot*f.recSize:len(p.keys)*f.recSize])
@@ -146,18 +174,16 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 // split divides page pi in half, moving the upper half to a fresh page
 // inserted after it.
 func (f *OrderedFile) split(pg *Pager, pi int) {
-	p := f.dir.pages[pi]
+	p := f.pageW(pi)
 	half := len(p.keys) / 2
 	newID := f.disk.Alloc()
 	oldBuf := pg.Update(p.id)
 	newBuf := pg.Overwrite(newID)
 	copy(newBuf, oldBuf[half*f.recSize:len(p.keys)*f.recSize])
 	clear(oldBuf[half*f.recSize : len(p.keys)*f.recSize])
-	newPage := &ofPage{id: newID, keys: append([]uint64(nil), p.keys[half:]...)}
+	newPage := &ofPage{id: newID, keys: slices.Clone(p.keys[half:]), gen: p.gen}
 	p.keys = p.keys[:half]
-	f.dir.pages = append(f.dir.pages, nil)
-	copy(f.dir.pages[pi+2:], f.dir.pages[pi+1:])
-	f.dir.pages[pi+1] = newPage
+	f.dir.pages = slices.Insert(f.dir.pages, pi+1, newPage)
 }
 
 // Delete removes the record stored under key, reporting whether it was
@@ -169,7 +195,7 @@ func (f *OrderedFile) Delete(pg *Pager, key uint64) bool {
 		return false
 	}
 	f.dv.MarkDirty()
-	p := f.dir.pages[pi]
+	p := f.pageW(pi)
 	buf := pg.Update(p.id)
 	copy(buf[slot*f.recSize:], buf[(slot+1)*f.recSize:len(p.keys)*f.recSize])
 	clear(buf[(len(p.keys)-1)*f.recSize : len(p.keys)*f.recSize])
@@ -178,7 +204,7 @@ func (f *OrderedFile) Delete(pg *Pager, key uint64) bool {
 	if len(p.keys) == 0 {
 		pg.Drop(p.id)
 		pg.FreePage(p.id)
-		f.dir.pages = append(f.dir.pages[:pi], f.dir.pages[pi+1:]...)
+		f.dir.pages = slices.Delete(f.dir.pages, pi, pi+1)
 	}
 	return true
 }
@@ -268,7 +294,7 @@ func (f *OrderedFile) Clear(pg *Pager) {
 		pg.Drop(p.id)
 		pg.FreePage(p.id)
 	}
-	f.dir.pages = f.dir.pages[:0]
+	f.dir.pages = f.pagesW()[:0]
 	f.dir.n = 0
 }
 
@@ -295,7 +321,7 @@ func (f *OrderedFile) Replace(pg *Pager, keys []uint64, recs [][]byte) {
 		// Update (not Overwrite) so the rebuild charges read+write per
 		// page, matching C_WriteCache = 2·C2·ProcSize.
 		buf := pg.Update(id)
-		p := &ofPage{id: id, keys: append([]uint64(nil), keys[i:end]...)}
+		p := &ofPage{id: id, keys: slices.Clone(keys[i:end]), gen: f.dv.Gen()}
 		for s := i; s < end; s++ {
 			if len(recs[s]) != f.recSize {
 				panic(fmt.Sprintf("storage: record of %d bytes, want %d", len(recs[s]), f.recSize))
